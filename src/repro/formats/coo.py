@@ -49,16 +49,19 @@ class COOMatrix(SparseMatrix):
         # Canonicalize: sort by (row, col) and merge duplicates.
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows):
-            keys = rows.astype(np.int64) * n_cols + cols
+        keys = rows.astype(np.int64) * n_cols + cols
+        if np.all(keys[1:] != keys[:-1]):
+            # No duplicate to merge; ``v + 0`` is still the merge's
+            # per-entry ``0 + v`` (it turns -0.0 into +0.0).
+            self.rows, self.cols = rows, cols
+            self.values = values + values.dtype.type(0)
+        else:
             uniq, inverse = np.unique(keys, return_inverse=True)
             merged = np.zeros(len(uniq), dtype=values.dtype)
             np.add.at(merged, inverse, values)
             self.rows = (uniq // n_cols).astype(INDEX_DTYPE)
             self.cols = (uniq % n_cols).astype(INDEX_DTYPE)
             self.values = merged
-        else:
-            self.rows, self.cols, self.values = rows, cols, values
 
     @property
     def nnz(self) -> int:

@@ -47,10 +47,19 @@ class CSRMatrix(SparseMatrix):
         self._sort_rows()
 
     def _sort_rows(self) -> None:
-        """Sort column indices within each row (stable, vectorized)."""
+        """Sort column indices within each row (stable, vectorized).
+
+        Always leaves ``indices``/``data`` as fresh copies, so the
+        matrix never aliases a caller's arrays; rows that are already
+        sorted (the common case) skip the ``lexsort``.
+        """
         n = self.n_rows
         row_of = np.repeat(np.arange(n, dtype=np.int64),
                            np.diff(self.indptr))
+        if np.all((np.diff(self.indices) >= 0) | (np.diff(row_of) > 0)):
+            self.indices = self.indices.copy()
+            self.data = self.data.copy()
+            return
         order = np.lexsort((self.indices, row_of))
         self.indices = self.indices[order]
         self.data = self.data[order]

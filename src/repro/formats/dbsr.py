@@ -83,6 +83,7 @@ class DBSRMatrix(SparseMatrix):
         self._nnz = int(np.count_nonzero(values)) if nnz_hint is None \
             else int(nnz_hint)
         self._dia_ptr = None
+        self._sweep = None
 
     # Construction -----------------------------------------------------
     @classmethod
@@ -182,6 +183,19 @@ class DBSRMatrix(SparseMatrix):
                     dia[i] = lo + hits[0]
             self._dia_ptr = dia
         return self._dia_ptr
+
+    def sweep_schedule(self):
+        """Structure-only level schedule of the fast sweeps.
+
+        A :class:`~repro.kernels.sweep.SweepSchedule`, built on first
+        use and cached (plans and smoothers build it eagerly, as set-up
+        cost). It depends only on ``blk_ptr``/``blk_ind``/``blk_offset``.
+        """
+        if self._sweep is None:
+            from repro.kernels.sweep import build_sweep_schedule
+
+            self._sweep = build_sweep_schedule(self)
+        return self._sweep
 
     def block_row(self, i: int) -> tuple:
         """Return ``(anchors, values)`` views for block-row ``i``."""

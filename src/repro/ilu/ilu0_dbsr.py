@@ -23,7 +23,7 @@ makes the whole update lane-parallel (SIMD) per tile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,16 @@ class DBSRILUFactors:
         (unit diagonal implicit) and ``U`` on/above it.
     dia_ptr:
         Tile index of each block-row's main-diagonal tile.
+    sweep:
+        :class:`~repro.kernels.sweep.SweepSchedule` with the ``lower``
+        / ``upper`` tables of the two apply sweeps; structure-only, so
+        a value repack hands the skeleton's schedule to the new
+        factors. Built on first use when ``None``.
     """
 
     matrix: DBSRMatrix
     dia_ptr: np.ndarray
+    sweep: object = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -55,6 +61,14 @@ class DBSRILUFactors:
     @property
     def bsize(self) -> int:
         return self.matrix.bsize
+
+    def sweep_schedule(self):
+        """The apply sweeps' level schedule (built once, then cached)."""
+        if self.sweep is None:
+            from repro.kernels.sweep import build_sweep_schedule
+
+            self.sweep = build_sweep_schedule(self.matrix, self.dia_ptr)
+        return self.sweep
 
     def diag_vector(self) -> np.ndarray:
         """The ``U`` diagonal as a dense length-``n`` vector."""

@@ -11,6 +11,10 @@ width-``bsize`` vector operations:
         vec_temp -= vec_vals * vec_x               # line 11
     store(x + i*bsize, vec_temp)                   # line 13
 
+The fast kernels run this sweep one dependency level at a time — every
+block-row of a level at once (:mod:`repro.kernels.sweep`); the
+instrumented ``*_counted`` twins below keep the row-by-row loop.
+
 Correctness requires the vectorized-BMC property that no tile couples
 lanes *within* its own block-row (same-color blocks are independent);
 :func:`check_dbsr_triangular` verifies this. Vector loads may overrun
@@ -24,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.dbsr import DBSRMatrix
+from repro.kernels.sweep import sptrsv_sweep
 from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
 
@@ -67,45 +72,20 @@ def sptrsv_dbsr_lower(lower: DBSRMatrix, b: np.ndarray,
         Diagonal ``D``; ``None`` solves with a unit diagonal (ILU's
         ``L`` factor).
     """
-    n = lower.n_rows
-    require(b.shape == (n,), "b has wrong length")
-    bs = lower.bsize
-    xp = np.zeros(n + 2 * bs, dtype=np.result_type(lower.values, b))
-    b2 = np.asarray(b).reshape(-1, bs)
-    d2 = None if diag is None else np.asarray(diag).reshape(-1, bs)
-    anchors = lower.anchors + bs  # shift into the padded buffer
-    blk_ptr, values = lower.blk_ptr, lower.values
-    for i in range(lower.brow):
-        acc = b2[i].astype(xp.dtype, copy=True)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            acc -= values[t] * xp[a:a + bs]
-        if d2 is not None:
-            acc /= d2[i]
-        xp[bs + i * bs:bs + (i + 1) * bs] = acc
-    return xp[bs:bs + n].copy()
+    return _sptrsv_dbsr(lower, b, diag, forward=True)
 
 
 def sptrsv_dbsr_upper(upper: DBSRMatrix, b: np.ndarray,
                       diag: np.ndarray | None = None) -> np.ndarray:
     """Solve ``(D + U) x = b`` in DBSR format (backward sweep)."""
-    n = upper.n_rows
-    require(b.shape == (n,), "b has wrong length")
-    bs = upper.bsize
-    xp = np.zeros(n + 2 * bs, dtype=np.result_type(upper.values, b))
-    b2 = np.asarray(b).reshape(-1, bs)
-    d2 = None if diag is None else np.asarray(diag).reshape(-1, bs)
-    anchors = upper.anchors + bs
-    blk_ptr, values = upper.blk_ptr, upper.values
-    for i in range(upper.brow - 1, -1, -1):
-        acc = b2[i].astype(xp.dtype, copy=True)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            acc -= values[t] * xp[a:a + bs]
-        if d2 is not None:
-            acc /= d2[i]
-        xp[bs + i * bs:bs + (i + 1) * bs] = acc
-    return xp[bs:bs + n].copy()
+    return _sptrsv_dbsr(upper, b, diag, forward=False)
+
+
+def _sptrsv_dbsr(matrix, b, diag, forward) -> np.ndarray:
+    """The k=1 call of the level-scheduled sweep."""
+    b = np.asarray(b)
+    require(b.shape == (matrix.n_rows,), "b has wrong length")
+    return sptrsv_sweep(matrix, b[:, None], diag, forward)[:, 0]
 
 
 # Instrumented twins ------------------------------------------------------

@@ -100,6 +100,7 @@ class DBSRSymgsSmoother:
         self.vbmc = build_vbmc(grid, stencil, block_dims, bsize)
         reordered = self.vbmc.apply_matrix(matrix)
         self.dbsr = DBSRMatrix.from_csr(reordered, bsize)
+        self.dbsr.sweep_schedule()  # set-up cost, not first-sweep cost
         self.diag = reordered.diagonal()
         self.bsize = bsize
         self.n_colors = self.vbmc.n_colors

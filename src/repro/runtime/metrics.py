@@ -133,6 +133,8 @@ def collect_bench_runtime(nx: int = 8, stencil: str = "27pt",
             L, D, U = split_triangular(Ap)
             Ld = DBSRMatrix.from_csr(L, bsize)
             Ud = DBSRMatrix.from_csr(U, bsize)
+            for m in (dbsr, Ld, Ud):
+                m.sweep_schedule()
 
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(Ap.n_rows).astype(np_dtype)

@@ -9,10 +9,12 @@ multiple right-hand sides. These kernels apply that to DBSR: each tile's
 solve drops as ``1/k`` while the vector-stream traffic stays linear.
 
 Layout note: the padded working buffers are ``(k, n + 2*bsize)``
-RHS-major so every per-RHS slice is contiguous — the gather-free
-property of Algorithm 2 survives batching (nothing here indexes with an
-array; the gather-lint runs over this module). The public API accepts
-``(n, k)`` blocks column-per-RHS, matching how callers stack requests.
+RHS-major so every per-RHS slice is contiguous. The fast kernels are
+the level-scheduled sweeps of :mod:`repro.kernels.sweep` (one gather,
+multiply and sequential reduction per dependency level); the
+instrumented twins below keep Algorithm 2's contiguous loads, and the
+gather-lint runs over this module. The public API accepts ``(n, k)``
+blocks column-per-RHS, matching how callers stack requests.
 
 Every kernel is bit-identical per column to its unbatched sweep twin in
 :mod:`repro.kernels.sptrsv_dbsr` / :mod:`repro.kernels.symgs`:
@@ -30,44 +32,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.dbsr import DBSRMatrix
+from repro.kernels.sweep import (
+    check_rhs_block,
+    ilu_apply_sweep,
+    spmv_sweep,
+    sptrsv_sweep,
+    symgs_sweep,
+)
 from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
-
-
-def _check_rhs_block(matrix: DBSRMatrix, B: np.ndarray) -> np.ndarray:
-    B = np.asarray(B)
-    require(B.ndim == 2, "RHS block must be (n, k)")
-    require(B.shape[0] == matrix.n_rows, "RHS block has wrong length")
-    require(B.shape[1] >= 1, "RHS block must have at least one column")
-    return B
-
-
-def _sptrsv_multi(matrix: DBSRMatrix, B: np.ndarray,
-                  diag: np.ndarray | None, forward: bool) -> np.ndarray:
-    """Shared forward/backward multi-RHS Algorithm 2 sweep."""
-    B = _check_rhs_block(matrix, B)
-    n, k = B.shape
-    bs = matrix.bsize
-    dtype = np.result_type(matrix.values, B)
-    # RHS-major padded buffer: Xp[j] is one contiguous padded solution.
-    Xp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    Bk = np.ascontiguousarray(B.T)
-    b3 = Bk.reshape(k, -1, bs)
-    d2 = None if diag is None else np.asarray(diag).reshape(-1, bs)
-    anchors = matrix.anchors + bs
-    blk_ptr, values = matrix.blk_ptr, matrix.values
-    rng = range(matrix.brow) if forward \
-        else range(matrix.brow - 1, -1, -1)
-    for i in rng:
-        acc = b3[:, i, :].astype(dtype, copy=True)   # (k, bs)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            # One values[t] load serves all k RHS columns.
-            acc -= values[t] * Xp[:, a:a + bs]
-        if d2 is not None:
-            acc /= d2[i]
-        Xp[:, bs + i * bs:bs + (i + 1) * bs] = acc
-    return np.ascontiguousarray(Xp[:, bs:bs + n].T)
 
 
 def sptrsv_dbsr_lower_multi(lower: DBSRMatrix, B: np.ndarray,
@@ -77,17 +50,17 @@ def sptrsv_dbsr_lower_multi(lower: DBSRMatrix, B: np.ndarray,
     Column ``j`` of the result is bit-identical to
     ``sptrsv_dbsr_lower(lower, B[:, j], diag)``.
     """
-    return _sptrsv_multi(lower, B, diag, forward=True)
+    return sptrsv_sweep(lower, B, diag, forward=True)
 
 
 def sptrsv_dbsr_upper_multi(upper: DBSRMatrix, B: np.ndarray,
                             diag: np.ndarray | None = None) -> np.ndarray:
     """Solve ``(D + U) X = B`` for an ``(n, k)`` RHS block."""
-    return _sptrsv_multi(upper, B, diag, forward=False)
+    return sptrsv_sweep(upper, B, diag, forward=False)
 
 
 def spmv_dbsr_multi(matrix: DBSRMatrix, X: np.ndarray) -> np.ndarray:
-    """``Y = A X`` over an ``(n, k)`` block, one tile pass total.
+    """``Y = A X`` over an ``(n, k)`` block from the sweep tile table.
 
     Each output row is a *sequential* FMA chain over its tiles in
     storage order — the same rounding sequence as Alg. 4's accumulator
@@ -96,28 +69,7 @@ def spmv_dbsr_multi(matrix: DBSRMatrix, X: np.ndarray) -> np.ndarray:
     ~1 ULP on long rows). Per-RHS results therefore match
     :meth:`DBSRMatrix.matvec` to roundoff, not bitwise.
     """
-    X = np.asarray(X)
-    require(X.ndim == 2 and X.shape[0] == matrix.n_cols,
-            "X block must be (n_cols, k)")
-    n, k = X.shape
-    bs = matrix.bsize
-    dtype = np.result_type(matrix.values, X)
-    Xp = np.zeros((k, matrix.n_cols + 2 * bs), dtype=X.dtype)
-    Xp[:, bs:bs + matrix.n_cols] = X.T
-    if matrix.n_tiles == 0:
-        return np.zeros((matrix.n_rows, k), dtype=X.dtype)
-    starts = matrix.anchors + bs
-    window = starts[:, None] + np.arange(bs)
-    # (k, n_tiles, bs): one values load broadcast across the k RHS.
-    prod = matrix.values[None, :, :] * Xp[:, window]
-    Y = np.zeros((k, matrix.brow, bs), dtype=dtype)
-    ntiles = np.diff(matrix.blk_ptr)
-    # Tile-position sweep: step ``t`` adds every row's ``t``-th tile at
-    # once, so each row still accumulates its tiles strictly in order.
-    for t in range(int(ntiles.max(initial=0))):
-        rows = np.flatnonzero(ntiles > t)
-        Y[:, rows] += prod[:, matrix.blk_ptr[rows] + t]
-    return np.ascontiguousarray(Y.reshape(k, -1).T)
+    return spmv_sweep(matrix, X)
 
 
 def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
@@ -127,29 +79,7 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
     Updates ``X`` in place and returns it; column-identical to
     :func:`repro.kernels.symgs.symgs_dbsr` per RHS.
     """
-    B = _check_rhs_block(matrix, B)
-    require(X.shape == B.shape, "X/B block shape mismatch")
-    n, k = B.shape
-    bs = matrix.bsize
-    dtype = np.result_type(matrix.values, X)
-    Xp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    Xp[:, bs:bs + n] = X.T
-    b3 = np.ascontiguousarray(B.T).reshape(k, -1, bs)
-    d2 = np.asarray(diag).reshape(-1, bs)
-    anchors = matrix.anchors + bs
-    blk_ptr, values = matrix.blk_ptr, matrix.values
-    for forward in (True, False):
-        rng = range(matrix.brow) if forward \
-            else range(matrix.brow - 1, -1, -1)
-        for i in rng:
-            rowsum = np.zeros((k, bs), dtype=dtype)
-            for t in range(blk_ptr[i], blk_ptr[i + 1]):
-                a = anchors[t]
-                rowsum += values[t] * Xp[:, a:a + bs]
-            xi = Xp[:, bs + i * bs:bs + (i + 1) * bs]
-            xi += (b3[:, i, :] - rowsum) / d2[i]
-    X[:] = Xp[:, bs:bs + n].T
-    return X
+    return symgs_sweep(matrix, diag, X, B)
 
 
 def ilu_apply_dbsr_multi(factors, B: np.ndarray) -> np.ndarray:
@@ -164,35 +94,7 @@ def ilu_apply_dbsr_multi(factors, B: np.ndarray) -> np.ndarray:
     ``ilu0_apply_dbsr(factors, B[:, j])``: batching reorders no
     floating-point operation within a column.
     """
-    m = factors.matrix
-    B = _check_rhs_block(m, B)
-    n, k = B.shape
-    bs = m.bsize
-    dtype = np.result_type(m.values, B)
-    blk_ptr, values = m.blk_ptr, m.values
-    dia_ptr = factors.dia_ptr
-    anchors = m.anchors + bs
-    b3 = np.ascontiguousarray(B.T).reshape(k, -1, bs)
-
-    # Forward: (L + I) Y = B.
-    Yp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    for i in range(m.brow):
-        acc = b3[:, i, :].astype(dtype, copy=True)   # (k, bs)
-        for t in range(int(blk_ptr[i]), int(dia_ptr[i])):
-            a = anchors[t]
-            acc -= values[t] * Yp[:, a:a + bs]
-        Yp[:, bs + i * bs:bs + (i + 1) * bs] = acc
-
-    # Backward: (D + U) Z = Y.
-    Zp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    for i in range(m.brow - 1, -1, -1):
-        acc = Yp[:, bs + i * bs:bs + (i + 1) * bs].copy()
-        for t in range(int(dia_ptr[i]) + 1, int(blk_ptr[i + 1])):
-            a = anchors[t]
-            acc -= values[t] * Zp[:, a:a + bs]
-        acc /= values[int(dia_ptr[i])]
-        Zp[:, bs + i * bs:bs + (i + 1) * bs] = acc
-    return np.ascontiguousarray(Zp[:, bs:bs + n].T)
+    return ilu_apply_sweep(factors, B)
 
 
 # Instrumented twins ------------------------------------------------------
@@ -208,7 +110,7 @@ def _sptrsv_multi_counted(matrix: DBSRMatrix, B: np.ndarray,
     ``k`` x-loads/FMAs, so the value-stream bytes of a sweep are
     independent of ``k`` while per-solve value bytes fall as ``1/k``.
     """
-    B = _check_rhs_block(matrix, B)
+    B = check_rhs_block(matrix.n_rows, B)
     n, k = B.shape
     bs = matrix.bsize
     require(engine.bsize == bs, "engine width must equal bsize")
@@ -311,7 +213,7 @@ def ilu_apply_dbsr_multi_counted(factors, B: np.ndarray,
     :func:`repro.kernels.counts.ilu_apply_dbsr_multi_counts` exactly.
     """
     m = factors.matrix
-    B = _check_rhs_block(m, B)
+    B = check_rhs_block(m.n_rows, B)
     require(bool(np.all(factors.dia_ptr >= 0)),
             "every block-row needs a diagonal tile")
     n, k = B.shape
@@ -385,7 +287,7 @@ def symgs_dbsr_multi_counted(matrix: DBSRMatrix, diag: np.ndarray,
     untallied, matching the closed form, which models the memory
     streams and the FMA/divide/add mix.
     """
-    B = _check_rhs_block(matrix, B)
+    B = check_rhs_block(matrix.n_rows, B)
     require(X.shape == B.shape, "X/B block shape mismatch")
     require(bool(np.all(matrix.dia_ptr >= 0)),
             "every block-row needs a diagonal tile")

@@ -294,13 +294,15 @@ def _scatter_dbsr_values(dbsr_scatter: np.ndarray,
 
 
 def _build_numeric(plan_skeleton: dict, values_src: np.ndarray,
-                   dtype, schedule=None) -> tuple:
+                   dtype, schedule=None, sweep=None) -> tuple:
     """Scatter one value snapshot into (CSR operator, ILU factors).
 
     With a prebuilt :class:`~repro.ilu.ilu0_dbsr.ILU0Schedule` the
     numeric factorization replays recorded tile matches instead of
     re-running the structural scans — same floating-point ops in the
-    same order, so the result is bitwise-identical either way.
+    same order, so the result is bitwise-identical either way. The
+    structure-only apply-sweep schedule ``sweep`` is handed to the new
+    factors as is; without one it is built here.
     """
     csr_scatter = plan_skeleton["csr_scatter"]
     dbsr_scatter = plan_skeleton["dbsr_scatter"]
@@ -319,6 +321,8 @@ def _build_numeric(plan_skeleton: dict, values_src: np.ndarray,
         factors = ilu0_refactorize_dbsr(dbsr, schedule)
     else:
         factors = ilu0_factorize_dbsr(dbsr)
+    factors.sweep = sweep
+    factors.sweep_schedule()  # builds it on a cold compile
     return matrix, factors
 
 
@@ -481,7 +485,8 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
         digest = value_digest(values_src)
         matrix, factors = _build_numeric(_skeleton_of(plan),
                                          values_src, np_dtype,
-                                         schedule=plan.schedule)
+                                         schedule=plan.schedule,
+                                         sweep=plan.factors.sweep)
         fresh = ILUPlan(
             fingerprint=plan.fingerprint,
             value_digest=digest,

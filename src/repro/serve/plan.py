@@ -405,6 +405,10 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
         L, D, U = split_triangular(Ap)
         Ld = DBSRMatrix.from_csr(L, bsize)
         Ud = DBSRMatrix.from_csr(U, bsize)
+        # Sweep schedules are set-up cost, paid here rather than on the
+        # first request.
+        for m in (dbsr, Ld, Ud):
+            m.sweep_schedule()
 
         sell_lower = sell_upper = None
         if config.strategy == "sell":

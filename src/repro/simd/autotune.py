@@ -44,6 +44,12 @@ MAX_BSIZE = 64
 #: Candidates the roofline-pruned search actually measures.
 MEASURE_TOP = 2
 
+#: Best-of count per measured candidate. A level-scheduled sweep on the
+#: small grids the tuner sees takes 0.1-0.2 ms, and neighbouring
+#: candidates can have equal level counts, so their times differ by
+#: only about 5%; best-of-3 lets one noisy run swap their ranks.
+MEASURE_REPEATS = 30
+
 #: Recognized ``prune`` modes of :func:`autotune_bsize`.
 PRUNE_MODES = (None, "roofline", "exhaustive")
 
@@ -203,7 +209,8 @@ def rank_bsizes_roofline(grid: StructuredGrid, stencil: Stencil,
 
 def measure_bsize_seconds(grid: StructuredGrid, stencil: Stencil,
                           bsize: int, n_workers: int = 1,
-                          dtype_bytes: int = 8, repeats: int = 3,
+                          dtype_bytes: int = 8,
+                          repeats: int = MEASURE_REPEATS,
                           matrix=None) -> float:
     """Build candidate structures and time one SpTRSV sweep (best-of).
 
@@ -231,6 +238,7 @@ def measure_bsize_seconds(grid: StructuredGrid, stencil: Stencil,
     Ap = ordering.apply_matrix(A)
     L, D, _U = split_triangular(Ap)
     Ld = DBSRMatrix.from_csr(L, bsize)
+    Ld.sweep_schedule()  # set-up, like the conversion above
     rhs = (np.arange(Ap.n_rows, dtype=Ld.values.dtype) % 7) + 1.0
     best = math.inf
     for _ in range(repeats):
@@ -247,7 +255,7 @@ def autotune_bsize_result(grid: StructuredGrid, stencil: Stencil,
                           min_block_points: int = 8,
                           prune: str | None = None,
                           measure_top: int = MEASURE_TOP,
-                          measure_repeats: int = 3,
+                          measure_repeats: int = MEASURE_REPEATS,
                           measure_fn=None) -> AutotuneResult:
     """:func:`autotune_bsize` with the full selection record.
 
