@@ -46,10 +46,14 @@ class COOMatrix(SparseMatrix):
                     "col index out of range")
         self.shape = (n_rows, n_cols)
 
-        # Canonicalize: sort by (row, col) and merge duplicates.
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
+        # Canonicalize: sort by (row, col) and merge duplicates. The
+        # int64 key ``row * n_cols + col`` orders exactly like the pair,
+        # and a stable sort of it is the permutation of
+        # ``np.lexsort((cols, rows))`` at a fraction of the cost.
         keys = rows.astype(np.int64) * n_cols + cols
+        order = np.argsort(keys, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+        keys = keys[order]
         if np.all(keys[1:] != keys[:-1]):
             # No duplicate to merge; ``v + 0`` is still the merge's
             # per-entry ``0 + v`` (it turns -0.0 into +0.0).

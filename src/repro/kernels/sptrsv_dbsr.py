@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.dbsr import DBSRMatrix
-from repro.kernels.sweep import sptrsv_sweep
+from repro.kernels.sweep import check_diag, sptrsv_sweep
 from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
 
@@ -100,7 +100,7 @@ def sptrsv_dbsr_lower_counted(lower: DBSRMatrix, b: np.ndarray,
     xp = np.zeros(n + 2 * bs, dtype=np.result_type(lower.values, b))
     anchors = lower.anchors + bs
     vals_flat = lower.values.reshape(-1)
-    dp = None if diag is None else np.asarray(diag)
+    dp = None if diag is None else check_diag(n, diag)
     engine.counter.bytes_index += lower.blk_ptr.itemsize
     for i in range(lower.brow):
         engine.counter.bytes_index += lower.blk_ptr.itemsize
@@ -127,7 +127,7 @@ def sptrsv_dbsr_upper_counted(upper: DBSRMatrix, b: np.ndarray,
     xp = np.zeros(n + 2 * bs, dtype=np.result_type(upper.values, b))
     anchors = upper.anchors + bs
     vals_flat = upper.values.reshape(-1)
-    dp = None if diag is None else np.asarray(diag)
+    dp = None if diag is None else check_diag(n, diag)
     engine.counter.bytes_index += upper.blk_ptr.itemsize
     for i in range(upper.brow - 1, -1, -1):
         engine.counter.bytes_index += upper.blk_ptr.itemsize

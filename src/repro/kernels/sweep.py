@@ -4,8 +4,8 @@ Algorithm 2 runs the block-rows of one color side by side. The fast
 tier does the same with the block-row dependency DAG read straight off
 the tile windows (the dependency-driven vectorization of Cetinic et
 al.): block-rows that touch none of each other's ``x`` slots form one
-*level*, and a whole level is one gather, one multiply and one
-reduction instead of a Python loop over its rows and tiles.
+*level*, and a whole level is a few numpy calls instead of a Python
+loop over its rows and tiles.
 
 The :class:`SweepSchedule` is structure-only and built once per
 matrix (set-up cost, like the DBSR conversion itself):
@@ -20,31 +20,56 @@ matrix (set-up cost, like the DBSR conversion itself):
   index in both the forward levels and their reverse, so both sweep
   directions replay the sequential row order's reads exactly.
 * **Order.** Block-rows sorted by level (stable, so ties keep index
-  order); ``level_ptr`` delimits the levels.
-* **Tile tables.** ``(T, brow)`` tile indices and ``x``-window starts
-  per row in sweep order, ``T`` the longest row. Short rows are padded
-  at the *front* with slots that point at an appended ``+0.0`` value
-  and the always-zero head ``xp[0:bsize]`` of the padded buffer, so a
-  pad contributes ``+0.0 * 0.0 = +0.0``.
+  order); ``level_ptr`` delimits the levels. Every sweep works on
+  vectors permuted into this *sweep order*, where a level's rows are
+  one contiguous slice.
+* **Level programs.** Each :class:`TileTable` is a compiled program
+  over ``T`` slots per row (``T`` the longest row; shorter rows are
+  padded at the *front*). Level-major — level ``L`` is one contiguous
+  ``(T, w)`` block, ``w`` its lane count — it stores as int32 the
+  tile each slot reads its values from (``gather``; pads read an
+  appended ``+0.0`` value row) and, per slot lane, the position of its
+  ``x`` entry in the sweep-ordered buffer (``lanes``). That buffer has
+  one trailing ``+0.0`` row; pads and lanes whose column falls outside
+  ``[0, n)`` point at it, so they contribute ``+0.0 * +0.0 = +0.0``.
+  The level bounds are precomputed Python ints (``steps``).
 
-Every sweep body then reduces the gathered products with
-``np.subtract.reduce`` along the tile axis over ``[start, p0, p1,
-...]`` — a strictly sequential chain (``subtract`` has no pairwise
-reduction loop), in storage order, so each row performs exactly the
-scalar ops of the ``numpy-counted`` twin. SpTRSV/ILU start from the
-right-hand side (``b - p0 - p1 ...``). SYMGS and SpMV need the row
-sum ``0 + p0 + p1 ...``; they run the same chain from ``+0.0`` over
+A call permutes ``X``, ``B`` and the diagonal into sweep order once and
+gathers the value table once. Each level is then a short run of
+``out=`` calls over contiguous slices of per-call scratch:
+
+1. ``np.take`` of the level's ``x`` lanes into a product buffer;
+2. ``np.multiply`` by the level's value block;
+3. ``np.subtract.reduce`` along the slot axis — a strictly sequential
+   chain (``subtract`` has no pairwise reduction loop), in storage
+   order, so each row performs exactly the scalar ops of the
+   ``numpy-counted`` twin;
+4. the divide (SpTRSV, ILU) or SYMGS's subtract/divide/add, written
+   straight into the level's slice of the ``x`` buffer.
+
+SpTRSV/ILU start the chain from the right-hand side: the product
+buffer's head slot holds the level's RHS rows, giving
+``b - p0 - p1 ...``. SYMGS and SpMV need the row sum
+``0 + p0 + p1 ...``; they run the chain with ``initial=0.0`` over
 products of the *negated* values, because ``s - (-v * x)`` is by IEEE
 definition the very addition ``s + v * x`` (negating an operand of a
-product is exact, and ``s - y`` is defined as ``s + (-y)``). Note that
-negating the *result* instead would not be exact: ``-0.0 - (-0.0)`` is
-``+0.0``, not ``-(0.0 + -0.0)``. Leading pads are exact for every
-start, since the pad value stays ``+0.0`` in both tables:
-``s - (+0.0) == s`` bit for bit, including ``-0.0``, ``inf`` and NaN.
+product is exact, and ``s - y`` is defined as ``s + (-y)``), and
+``initial`` is the chain's first ``s``: ``0.0 - p0 - p1 ...``, the
+chain of an explicit ``+0.0`` head slot. Negating the *result*
+instead would not be exact: ``-0.0 - (-0.0)`` is ``+0.0``, not
+``-(0.0 + -0.0)``. Leading pads are exact for every start, since the
+pad value stays ``+0.0`` in both tables: ``s - (+0.0) == s`` bit for
+bit, including ``-0.0``, ``inf`` and NaN.
 
-NumPy fancy indexing here is host-language traffic over precomputed
-index tables, not the modelled ISA gather: the counted twins remain
-the gather-free instruction model, and each index site below carries a
+Values and the diagonal are read live on every call — nothing caches
+them — because fault injection corrupts them in place and the kernels
+must see it. Scratch is allocated per call and freed on return, so
+concurrent calls on one plan (gateway worker threads, hedged requests)
+share only the read-only program.
+
+NumPy ``take`` here is host-language traffic over precomputed index
+tables, not the modelled ISA gather: the counted twins remain the
+gather-free instruction model, and each index site below carries a
 ``# gather-ok`` note saying what it moves.
 """
 
@@ -53,44 +78,63 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.utils.validation import require
 
 
 @dataclass(frozen=True)
 class TileTable:
-    """Padded per-row tile lists of one sweep, rows in sweep order.
+    """Compiled level program of one sweep table, rows in sweep order.
 
     Attributes
     ----------
-    tiles:
-        ``(T, brow)`` tile index per slot (slot-major, so one level's
-        products stack along the reduced axis); pads hold ``n_tiles``
-        (the appended ``+0.0`` value row of :meth:`values`).
-    starts:
-        ``(T, brow)`` start of each slot's ``x`` window in the padded
-        buffer (``anchor + bsize``); pads hold ``0``, the zero head.
+    width:
+        Slots per row, ``T`` (the longest row's tile count).
+    gather:
+        ``(T * brow,)`` int32 tile index per slot, level-major (level
+        ``lo:hi`` is the ``(T, hi - lo)`` block at ``T*lo : T*hi``);
+        pads hold ``n_tiles``, the appended ``+0.0`` value row.
+    lanes:
+        ``(T * n,)`` int32 position of each slot lane's ``x`` entry in
+        the sweep-ordered buffer, laid out like ``gather`` with each
+        slot expanded to its ``bsize`` lanes; pads and out-of-range
+        lanes hold ``n``, the buffer's trailing ``+0.0`` row.
+    steps:
+        One ``(xlo, xhi, a, b, lanes[a:b])`` per level in forward
+        order: the level's lane range ``xlo:xhi`` in the ``x`` buffer
+        and its block ``a:b`` of ``lanes`` and of the value table.
+    max_lanes:
+        The widest level's lane count (sizes the per-call scratch).
     """
 
-    tiles: np.ndarray
-    starts: np.ndarray
+    width: int
+    bsize: int
+    gather: np.ndarray
+    lanes: np.ndarray
+    steps: tuple
+    max_lanes: int
 
     @property
-    def width(self) -> int:
-        return self.tiles.shape[0]
+    def tiles(self) -> np.ndarray:
+        """``(T, brow)`` tile index per slot and row in sweep order."""
+        T, bs = self.width, self.bsize
+        return np.concatenate(
+            [self.gather[T * xlo // bs:T * xhi // bs]
+             .reshape(T, (xhi - xlo) // bs) for xlo, xhi, *_ in self.steps],
+            axis=1)
 
     def values(self, values: np.ndarray, negate: bool = False
                ) -> np.ndarray:
-        """The ``(T, brow, bsize)`` value table in sweep order, or its
-        negation; pads read ``+0.0`` either way."""
+        """The ``(T * n, 1)`` level-major value table, or its negation;
+        pads read ``+0.0`` either way."""
         ext = np.empty((len(values) + 1, values.shape[1]), values.dtype)
         if negate:
             np.negative(values, out=ext[:-1])
         else:
             ext[:-1] = values
         ext[-1] = 0.0
-        return ext[self.tiles]  # gather-ok: one value pass per sweep
+        # gather-ok: the tile values, one pass per call
+        return np.take(ext, self.gather, axis=0).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -142,32 +186,56 @@ def _levels(matrix) -> np.ndarray:
     return np.asarray(level, dtype=np.int64)
 
 
-def _table(matrix, order: np.ndarray, first: np.ndarray,
-           last: np.ndarray) -> TileTable:
-    """Tile table over the tile ranges ``[first[i], last[i])``."""
+def _table(matrix, order: np.ndarray, level_ptr: np.ndarray,
+           first: np.ndarray, last: np.ndarray) -> TileTable:
+    """Level program over the tile ranges ``[first[i], last[i])``."""
+    bs, brow, n = matrix.bsize, matrix.brow, matrix.n_rows
     count = (last - first)[order]
-    width = int(count.max(initial=0))
-    # Slot p of a row holds its tile p - (width - count); earlier
-    # slots are the leading pads.
-    pos = np.arange(width)[:, None] - (width - count)
-    tiles = np.where(pos >= 0, first[order] + pos, matrix.n_tiles)
-    anchors = np.append(matrix.anchors + matrix.bsize, 0)
-    starts = anchors[tiles]  # gather-ok: structure-only, built once
-    # int32 halves the tables (build_sweep_schedule checks the range).
-    return TileTable(tiles=tiles.astype(np.int32),
-                     starts=starts.astype(np.int32))
+    T = int(count.max(initial=0))
+    # Slot p of a row holds its tile p - (T - count); earlier slots are
+    # the leading pads.
+    slot = np.arange(T)[:, None] - (T - count)
+    tiles = np.where(slot >= 0, first[order] + slot, matrix.n_tiles)
+    # Level-major: slot t of the row at sweep position p, in level
+    # lo:hi, moves to T*lo + t*(hi - lo) + (p - lo).
+    size = np.diff(level_ptr)
+    lvl_lo = np.repeat(level_ptr[:-1], size)
+    dest = (T * lvl_lo + np.arange(T)[:, None] * np.repeat(size, size)
+            + (np.arange(brow) - lvl_lo))
+    gather = np.empty(T * brow, dtype=np.int32)
+    gather[dest] = tiles
+    # Lane l of a slot reads column anchor + l, in [-bsize, n + bsize).
+    # ``row_of`` holds, at index c + bsize, column c's row in the
+    # sweep-ordered buffer, and the zero row n for columns outside
+    # [0, n); pads get the anchor -bsize, so all their lanes read it.
+    pos = np.empty(brow, dtype=np.int64)
+    pos[order] = np.arange(brow)
+    row_of = np.full(n + 2 * bs, n, dtype=np.int32)
+    row_of[bs:bs + n] = (pos[:, None] * bs + np.arange(bs)).ravel()
+    starts = np.append(matrix.anchors + bs, 0)
+    # gather-ok: structure-only, built once
+    lanes = row_of[starts[gather][:, None] + np.arange(bs)].ravel()
+    steps = tuple((lo * bs, hi * bs, T * lo * bs, T * hi * bs,
+                   lanes[T * lo * bs:T * hi * bs])
+                  for lo, hi in zip(level_ptr[:-1].tolist(),
+                                    level_ptr[1:].tolist()))
+    return TileTable(width=T, bsize=bs, gather=gather, lanes=lanes,
+                     steps=steps,
+                     max_lanes=bs * int(size.max(initial=0)))
 
 
 def build_sweep_schedule(matrix, dia_ptr: np.ndarray | None = None
                          ) -> SweepSchedule:
-    """Build the level schedule and tile tables of a DBSR matrix.
+    """Build the level schedule and level programs of a DBSR matrix.
 
     With ``dia_ptr`` (ILU factors) the schedule carries the ``lower``
-    and ``upper`` tables split at each row's diagonal tile; without it,
-    the ``full`` table.
+    and ``upper`` programs split at each row's diagonal tile; without
+    it, the ``full`` program.
     """
-    require(max(matrix.n_tiles, matrix.n_cols + 2 * matrix.bsize)
-            < 2**31, "matrix too large for int32 sweep tables")
+    require(matrix.n_rows == matrix.n_cols,
+            "sweep schedules need a square matrix")
+    require(max(matrix.n_tiles, matrix.n_rows) < 2**31,
+            "matrix too large for int32 sweep tables")
     level = _levels(matrix)
     order = np.argsort(level, kind="stable")
     level_ptr = np.zeros(int(level.max(initial=-1)) + 2, dtype=np.int64)
@@ -176,53 +244,42 @@ def build_sweep_schedule(matrix, dia_ptr: np.ndarray | None = None
     blk_ptr = matrix.blk_ptr.astype(np.int64)
     if dia_ptr is None:
         return SweepSchedule(order=order, level_ptr=level_ptr,
-                             full=_table(matrix, order, blk_ptr[:-1],
-                                         blk_ptr[1:]))
+                             full=_table(matrix, order, level_ptr,
+                                         blk_ptr[:-1], blk_ptr[1:]))
     dia_ptr = np.asarray(dia_ptr, dtype=np.int64)
     require(bool(np.all(dia_ptr >= 0)),
             "every block-row needs a diagonal tile")
     return SweepSchedule(
         order=order, level_ptr=level_ptr,
-        lower=_table(matrix, order, blk_ptr[:-1], dia_ptr),
-        upper=_table(matrix, order, dia_ptr + 1, blk_ptr[1:]))
+        lower=_table(matrix, order, level_ptr, blk_ptr[:-1], dia_ptr),
+        upper=_table(matrix, order, level_ptr, dia_ptr + 1, blk_ptr[1:]))
 
 
 # Sweep bodies ---------------------------------------------------------------
 
-#: Product-buffer elements per SpMV step (about 1 MB in float64).
-_SPMV_CHUNK = 1 << 17
+def _solve(table, xs, vt, rhs, div, forward) -> None:
+    """Triangular sweep into the sweep-ordered ``(n + 1, k)`` buffer.
 
-
-def _chain(vt, Xw, starts, lo, hi, start) -> np.ndarray:
-    """``start - p0 - p1 - ...`` for the rows ``lo:hi`` as ``(k, r, b)``,
-    with ``p_t = values * x-window`` of slot ``t``, in slot order."""
-    k, bs = Xw.shape[0], Xw.shape[2]
-    buf = np.empty((k, starts.shape[0] + 1, hi - lo, bs),
-                   dtype=np.result_type(vt, Xw))
-    buf[:, 0] = start
-    # gather-ok: x windows of one level (host traffic, see module doc)
-    np.multiply(vt[:, lo:hi], Xw[:, starts[:, lo:hi]], out=buf[:, 1:])
-    return np.subtract.reduce(buf, axis=1)
-
-
-def _solve(schedule, table, values, Xp, rhs, div, forward) -> None:
-    """Triangular sweep into the padded ``(k, n + 2b)`` buffer ``Xp``.
-
-    ``rhs`` is ``(k, brow, b)`` and ``div`` ``(brow, b)`` (or ``None``),
-    both in sweep order; each level solves
+    ``rhs`` is ``(n, k)`` and ``div`` ``(n, 1)`` (or ``None``), both in
+    sweep order; each level solves
     ``x_i = (rhs_i - p0 - p1 - ...) / div_i``.
     """
-    bs = values.shape[1]
-    k = Xp.shape[0]
-    X3 = Xp[:, bs:Xp.shape[1] - bs].reshape(k, -1, bs)
-    Xw = sliding_window_view(Xp, bs, axis=1)
-    vt = table.values(values)
-    order = schedule.order
-    for lo, hi in schedule.levels(forward):
-        acc = _chain(vt, Xw, table.starts, lo, hi, rhs[:, lo:hi])
+    T, k = table.width, xs.shape[1]
+    # Slot 0 of a level's buffer holds its RHS rows (the chain's start).
+    buf = np.empty(((T + 1) * table.max_lanes, k), dtype=xs.dtype)
+    take, mul, red = np.take, np.multiply, np.subtract.reduce
+    for xlo, xhi, a, b, lanes in (table.steps if forward
+                                  else reversed(table.steps)):
+        w = xhi - xlo
+        prod = buf[w:w + b - a]
+        buf[:w] = rhs[xlo:xhi]
+        # gather-ok: the level's x lanes
+        take(xs, lanes, axis=0, out=prod, mode="clip")
+        mul(vt[a:b], prod, out=prod)
+        xl = xs[xlo:xhi]
+        red(buf[:w + b - a].reshape(T + 1, w, k), axis=0, out=xl)
         if div is not None:
-            acc /= div[lo:hi]
-        X3[:, order[lo:hi]] = acc
+            np.divide(xl, div[xlo:xhi], out=xl)
 
 
 def check_rhs_block(n: int, B: np.ndarray) -> np.ndarray:
@@ -234,10 +291,54 @@ def check_rhs_block(n: int, B: np.ndarray) -> np.ndarray:
     return B
 
 
-def _in_order(schedule, A: np.ndarray, bs: int) -> np.ndarray:
-    """An ``(n, k)`` block's rows as ``(k, brow, b)`` in sweep order."""
-    A3 = np.ascontiguousarray(A.T).reshape(A.shape[1], -1, bs)
-    return A3[:, schedule.order]  # gather-ok: one RHS pass per sweep
+def check_diag(n: int, diag) -> np.ndarray:
+    """Validate a length-``n`` diagonal (fast and counted sweeps)."""
+    diag = np.asarray(diag)
+    require(diag.shape == (n,), "diag must have length n")
+    return diag
+
+
+def _to_sweep(schedule, A: np.ndarray, bs: int, out: np.ndarray
+              ) -> np.ndarray:
+    """Copy an ``(n, k)`` block's rows into ``out`` in sweep order."""
+    k = A.shape[1]
+    A3, out3 = A.reshape(-1, bs, k), out.reshape(-1, bs, k)
+    if A.dtype == out.dtype:
+        # gather-ok: one pass per block per call
+        np.take(A3, schedule.order, axis=0, out=out3, mode="clip")
+    else:
+        out3[:] = A3[schedule.order]  # gather-ok: one pass, with a cast
+    return out
+
+
+def _from_sweep(schedule, xs: np.ndarray, bs: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Scatter the sweep-ordered rows ``xs[:n]`` into the ``(n, k)``
+    block ``out`` (a fresh one by default)."""
+    n, k = xs.shape[0] - 1, xs.shape[1]
+    if out is None:
+        out = np.empty((n, k), dtype=xs.dtype)
+    # One row scatter per call (the levels write slices of ``xs``).
+    out.reshape(-1, bs, k)[schedule.order] = xs[:n].reshape(-1, bs, k)
+    return out
+
+
+def _x_buffer(schedule, n: int, bs: int, k: int, dtype,
+              X: np.ndarray | None = None) -> np.ndarray:
+    """A sweep-ordered ``(n + 1, k)`` buffer with its ``+0.0`` row."""
+    if X is None:
+        return np.zeros((n + 1, k), dtype=dtype)
+    xs = np.empty((n + 1, k), dtype=dtype)
+    xs[n] = 0.0
+    _to_sweep(schedule, X, bs, xs[:n])
+    return xs
+
+
+def _diag_in_order(schedule, diag: np.ndarray, bs: int) -> np.ndarray:
+    """The diagonal as an ``(n, 1)`` column in sweep order."""
+    # gather-ok: the divisors, one pass per call
+    return np.take(diag.reshape(-1, bs), schedule.order,
+                   axis=0).reshape(-1, 1)
 
 
 def sptrsv_sweep(matrix, B: np.ndarray, diag: np.ndarray | None,
@@ -248,34 +349,37 @@ def sptrsv_sweep(matrix, B: np.ndarray, diag: np.ndarray | None,
     n, k = B.shape
     bs = matrix.bsize
     sched = matrix.sweep_schedule()
-    Xp = np.zeros((k, n + 2 * bs), dtype=np.result_type(matrix.values, B))
     div = None if diag is None else \
-        np.asarray(diag).reshape(-1, bs)[sched.order]  # gather-ok: once
-    _solve(sched, sched.full, matrix.values, Xp,
-           _in_order(sched, B, bs), div, forward)
-    return np.ascontiguousarray(Xp[:, bs:bs + n].T)
+        _diag_in_order(sched, check_diag(n, diag), bs)
+    dtype = np.result_type(matrix.values, B)
+    xs = _x_buffer(sched, n, bs, k, dtype)
+    rhs = _to_sweep(sched, B, bs, np.empty((n, k), dtype=B.dtype))
+    _solve(sched.full, xs, sched.full.values(matrix.values), rhs, div,
+           forward)
+    return _from_sweep(sched, xs, bs)
 
 
 def ilu_apply_sweep(factors, B: np.ndarray) -> np.ndarray:
     """Solve ``L U Z = B`` over an ``(n, k)`` block: a forward unit-lower
-    sweep over the ``lower`` table, then a backward sweep over the
-    ``upper`` table dividing by each row's diagonal tile."""
+    sweep over the ``lower`` program, then a backward sweep over the
+    ``upper`` program dividing by each row's diagonal tile."""
     m = factors.matrix
     B = check_rhs_block(m.n_rows, B)
     n, k = B.shape
     bs = m.bsize
     sched = factors.sweep_schedule()
     dtype = np.result_type(m.values, B)
-    Yp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    _solve(sched, sched.lower, m.values, Yp, _in_order(sched, B, bs),
-           None, forward=True)
-    Y3 = Yp[:, bs:bs + n].reshape(k, -1, bs)
-    # gather-ok: diagonal tiles and y rows in sweep order, once each
-    div = m.values[factors.dia_ptr[sched.order]]
-    Zp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    _solve(sched, sched.upper, m.values, Zp,
-           Y3[:, sched.order], div, forward=False)  # gather-ok: once
-    return np.ascontiguousarray(Zp[:, bs:bs + n].T)
+    ys = _x_buffer(sched, n, bs, k, dtype)
+    rhs = _to_sweep(sched, B, bs, np.empty((n, k), dtype=B.dtype))
+    _solve(sched.lower, ys, sched.lower.values(m.values), rhs, None,
+           forward=True)
+    # gather-ok: diagonal tiles in sweep order, once per call
+    div = np.take(m.values, factors.dia_ptr[sched.order],
+                  axis=0).reshape(-1, 1)
+    zs = _x_buffer(sched, n, bs, k, dtype)
+    _solve(sched.upper, zs, sched.upper.values(m.values), ys[:n], div,
+           forward=False)
+    return _from_sweep(sched, zs, bs)
 
 
 def symgs_sweep(matrix, diag: np.ndarray, X: np.ndarray, B: np.ndarray,
@@ -293,47 +397,64 @@ def symgs_sweep(matrix, diag: np.ndarray, X: np.ndarray, B: np.ndarray,
     bs = matrix.bsize
     sched = matrix.sweep_schedule()
     table = sched.full
-    Xp = np.zeros((k, n + 2 * bs), dtype=np.result_type(matrix.values, X))
-    Xp[:, bs:bs + n] = X.T
-    X3 = Xp[:, bs:bs + n].reshape(k, -1, bs)
-    Xw = sliding_window_view(Xp, bs, axis=1)
+    T = table.width
+    Ds = _diag_in_order(sched, check_diag(n, diag), bs)
+    xs = _x_buffer(sched, n, bs, k, np.result_type(matrix.values, X), X)
+    Bs = _to_sweep(sched, B, bs, np.empty((n, k), dtype=B.dtype))
     vt = table.values(matrix.values, negate=True)
-    order = sched.order
-    Bo = _in_order(sched, B, bs)
-    Do = np.asarray(diag).reshape(-1, bs)[order]  # gather-ok: once
+    wmax = table.max_lanes
+    buf = np.empty((T * wmax, k), dtype=xs.dtype)
+    acc = np.empty((wmax, k), dtype=xs.dtype)
+    # The correction ``(b - rowsum) / d`` keeps the promoted dtype of
+    # its operands until the add, as in the counted twin.
+    cdt = np.result_type(Bs, xs, Ds)
+    corr = acc if cdt == xs.dtype else np.empty((wmax, k), dtype=cdt)
+    take, mul, red = np.take, np.multiply, np.subtract.reduce
+    sub, div, add = np.subtract, np.divide, np.add
     for forward in directions:
-        for lo, hi in sched.levels(forward):
-            rowsum = _chain(vt, Xw, table.starts, lo, hi, 0.0)
-            rows = order[lo:hi]
-            xi = X3[:, rows]  # gather-ok: the level's own x slots
-            xi += (Bo[:, lo:hi] - rowsum) / Do[lo:hi]
-            X3[:, rows] = xi
-    X[:] = Xp[:, bs:bs + n].T
+        for xlo, xhi, a, b, lanes in (table.steps if forward
+                                      else reversed(table.steps)):
+            w = xhi - xlo
+            prod = buf[:b - a]
+            # gather-ok: the level's x lanes
+            take(xs, lanes, axis=0, out=prod, mode="clip")
+            mul(vt[a:b], prod, out=prod)
+            r, c = acc[:w], corr[:w]
+            red(prod.reshape(T, w, k), axis=0, out=r, initial=0.0)
+            sub(Bs[xlo:xhi], r, out=c)
+            div(c, Ds[xlo:xhi], out=c)
+            xl = xs[xlo:xhi]
+            add(xl, c, out=xl)
+    _from_sweep(sched, xs, bs, X)
     return X
 
 
 def spmv_sweep(matrix, X: np.ndarray) -> np.ndarray:
-    """``Y = A X`` over an ``(n_cols, k)`` block from the tile table.
+    """``Y = A X`` over an ``(n, k)`` block from the level program.
 
-    SpMV has no dependencies, so rows ignore the levels and run in
-    cache-sized chunks of the table; each row still sums its tiles as a
-    sequential chain from ``+0.0``.
+    SpMV has no dependencies; it still runs level by level over the
+    sweep-ordered ``X`` (the program's only layout), each row summing
+    its tiles as a sequential chain from ``+0.0``.
     """
     X = np.asarray(X)
     require(X.ndim == 2 and X.shape[0] == matrix.n_cols,
             "X block must be (n_cols, k)")
-    k = X.shape[1]
+    n, k = X.shape
     bs = matrix.bsize
     sched = matrix.sweep_schedule()
     table = sched.full
-    Xp = np.zeros((k, matrix.n_cols + 2 * bs), dtype=X.dtype)
-    Xp[:, bs:bs + matrix.n_cols] = X.T
-    Xw = sliding_window_view(Xp, bs, axis=1)
+    T = table.width
     vt = table.values(matrix.values, negate=True)
-    Y = np.empty((k, matrix.brow, bs), dtype=np.result_type(vt, Xp))
-    step = max(1, _SPMV_CHUNK // (k * (table.width + 1) * bs))
-    for lo in range(0, matrix.brow, step):
-        hi = min(lo + step, matrix.brow)
-        Y[:, sched.order[lo:hi]] = _chain(vt, Xw, table.starts, lo, hi,
-                                          0.0)
-    return np.ascontiguousarray(Y.reshape(k, -1).T)
+    # Widening X first is the cast the multiply would do anyway.
+    xs = _x_buffer(sched, n, bs, k, np.result_type(vt, X), X)
+    ys = np.empty((n + 1, k), dtype=xs.dtype)
+    buf = np.empty((T * table.max_lanes, k), dtype=ys.dtype)
+    take, mul, red = np.take, np.multiply, np.subtract.reduce
+    for xlo, xhi, a, b, lanes in table.steps:
+        prod = buf[:b - a]
+        # gather-ok: the level's x lanes
+        take(xs, lanes, axis=0, out=prod, mode="clip")
+        mul(vt[a:b], prod, out=prod)
+        red(prod.reshape(T, xhi - xlo, k), axis=0, out=ys[xlo:xhi],
+            initial=0.0)
+    return _from_sweep(sched, ys, bs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.dbsr import DBSRMatrix
+from repro.kernels.sweep import check_diag
 from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
 
@@ -59,11 +60,12 @@ def symgs_dbsr_counted(matrix: DBSRMatrix, diag: np.ndarray,
     require(engine.bsize == bs, "engine width must equal bsize")
     require(bool(np.all(matrix.dia_ptr >= 0)),
             "every block-row needs a diagonal tile")
+    diag = check_diag(n, diag)
     xp = matrix.pad_vector(np.asarray(
         x, dtype=np.result_type(matrix.values, x)))
-    _sweep_counted(matrix, np.asarray(diag), xp, np.asarray(b),
+    _sweep_counted(matrix, diag, xp, np.asarray(b),
                    forward=True, engine=engine)
-    _sweep_counted(matrix, np.asarray(diag), xp, np.asarray(b),
+    _sweep_counted(matrix, diag, xp, np.asarray(b),
                    forward=False, engine=engine)
     x[:] = matrix.unpad_vector(xp)
     return x

@@ -8,23 +8,25 @@ multiple right-hand sides. These kernels apply that to DBSR: each tile's
 ``k`` columns of an ``(n, k)`` RHS block, so value-stream traffic per
 solve drops as ``1/k`` while the vector-stream traffic stays linear.
 
-Layout note: the padded working buffers are ``(k, n + 2*bsize)``
-RHS-major so every per-RHS slice is contiguous. The fast kernels are
-the level-scheduled sweeps of :mod:`repro.kernels.sweep` (one gather,
-multiply and sequential reduction per dependency level); the
-instrumented twins below keep Algorithm 2's contiguous loads, and the
-gather-lint runs over this module. The public API accepts ``(n, k)``
-blocks column-per-RHS, matching how callers stack requests.
+Layout note: the public API accepts ``(n, k)`` blocks column-per-RHS,
+matching how callers stack requests. The fast kernels are the compiled
+level programs of :mod:`repro.kernels.sweep` (a few ``out=`` numpy
+calls per dependency level over a sweep-ordered ``(n + 1, k)`` buffer);
+the instrumented twins below keep Algorithm 2's contiguous loads over
+RHS-major ``(k, n + 2*bsize)`` padded buffers, and the gather-lint
+runs over this module.
 
 Every kernel is bit-identical per column to its unbatched sweep twin in
 :mod:`repro.kernels.sptrsv_dbsr` / :mod:`repro.kernels.symgs`:
-batching reorders no floating-point operation within a column. SpMV
-accumulates each row's tiles as a *sequential* chain in storage order —
-the canonical backend-tier rounding sequence — so it matches
-:meth:`~repro.formats.dbsr.DBSRMatrix.matvec` (pairwise ``reduceat``
-summation) to roundoff rather than bitwise. Instrumented ``*_counted``
-twins execute through a :class:`~repro.simd.engine.VectorEngine`;
-closed forms live in :func:`repro.kernels.counts.sptrsv_dbsr_multi_counts`.
+batching reorders no floating-point operation within a column, and
+every fast kernel matches its ``*_counted`` twin bit for bit, the sign
+of zero included. SpMV accumulates each row's tiles as a *sequential*
+chain from ``+0.0`` in storage order — the canonical backend-tier
+rounding sequence. Only :meth:`~repro.formats.dbsr.DBSRMatrix.matvec`,
+which sums with ``np.add.reduceat``, differs from it, by roundoff.
+Instrumented ``*_counted`` twins execute through a
+:class:`~repro.simd.engine.VectorEngine`; closed forms live in
+:func:`repro.kernels.counts.sptrsv_dbsr_multi_counts`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from repro.formats.dbsr import DBSRMatrix
 from repro.kernels.sweep import (
+    check_diag,
     check_rhs_block,
     ilu_apply_sweep,
     spmv_sweep,
@@ -60,14 +63,14 @@ def sptrsv_dbsr_upper_multi(upper: DBSRMatrix, B: np.ndarray,
 
 
 def spmv_dbsr_multi(matrix: DBSRMatrix, X: np.ndarray) -> np.ndarray:
-    """``Y = A X`` over an ``(n, k)`` block from the sweep tile table.
+    """``Y = A X`` over an ``(n, k)`` block from the level program.
 
-    Each output row is a *sequential* FMA chain over its tiles in
-    storage order — the same rounding sequence as Alg. 4's accumulator
-    register and the ``numpy-counted`` twin, so every backend tier is
-    bit-identical (``np.add.reduceat``'s pairwise summation is not, by
-    ~1 ULP on long rows). Per-RHS results therefore match
-    :meth:`DBSRMatrix.matvec` to roundoff, not bitwise.
+    Each output row is a *sequential* FMA chain from ``+0.0`` over its
+    tiles in storage order — the same rounding sequence as Alg. 4's
+    accumulator register and the ``numpy-counted`` twin, so every
+    backend tier is bit-identical, the sign of zero included.
+    :meth:`DBSRMatrix.matvec` sums with ``np.add.reduceat`` instead and
+    matches to roundoff, not bitwise.
     """
     return spmv_sweep(matrix, X)
 
@@ -119,7 +122,7 @@ def _sptrsv_multi_counted(matrix: DBSRMatrix, B: np.ndarray,
     Bk = np.ascontiguousarray(B.T)
     anchors = matrix.anchors + bs
     vals_flat = matrix.values.reshape(-1)
-    dp = None if diag is None else np.asarray(diag)
+    dp = None if diag is None else check_diag(n, diag)
     blk_ptr = matrix.blk_ptr
     engine.counter.bytes_index += blk_ptr.itemsize
     rng = range(matrix.brow) if forward \
@@ -167,9 +170,9 @@ def spmv_dbsr_multi_counted(matrix: DBSRMatrix, X: np.ndarray,
     Per tile one ``load_values`` serves all ``k`` columns; tallies match
     :func:`repro.kernels.counts.spmv_dbsr_multi_counts` exactly. The
     accumulator starts from an explicit zero register (the FMA chain of
-    Algorithm 4), so results equal the fast kernel's ``reduceat`` sums
-    under ``np.array_equal`` — the only representable difference is the
-    sign of zero on single-tile rows.
+    Algorithm 4), the very chain the fast kernel runs, so results are
+    bitwise equal to :func:`spmv_dbsr_multi`, the sign of zero
+    included.
     """
     X = np.asarray(X)
     require(X.ndim == 2 and X.shape[0] == matrix.n_cols,
@@ -298,7 +301,7 @@ def symgs_dbsr_multi_counted(matrix: DBSRMatrix, diag: np.ndarray,
     Xp = np.zeros((k, n + 2 * bs), dtype=dtype)
     Xp[:, bs:bs + n] = X.T
     Bk = np.ascontiguousarray(B.T)
-    dp = np.asarray(diag)
+    dp = check_diag(n, diag)
     anchors = matrix.anchors + bs
     vals_flat = matrix.values.reshape(-1)
     blk_ptr = matrix.blk_ptr

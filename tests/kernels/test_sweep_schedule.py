@@ -201,7 +201,8 @@ def _check_schedule(matrix, sched, tables) -> None:
     real = np.sort(seen[seen < matrix.n_tiles])
     assert np.array_equal(real, np.unique(real))
     for t in tables:
-        assert np.all(t.starts[t.tiles == matrix.n_tiles] == 0)
+        pads = t.lanes.reshape(-1, matrix.bsize)[t.gather == matrix.n_tiles]
+        assert np.all(pads == matrix.n_rows)
         # Pads lead: once a row's real tiles start, none is a pad.
         pad = t.tiles == matrix.n_tiles
         assert np.all(pad[1:] <= pad[:-1])
